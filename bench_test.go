@@ -8,7 +8,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -665,9 +664,28 @@ func BenchmarkKBucketNearest(b *testing.B) {
 		table.Add(peer.MustNewIdentity(rng).ID)
 	}
 	key := kbucket.KeyForBytes([]byte("target"))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = table.NearestPeers(key, 20)
+	}
+}
+
+// BenchmarkSortByDistance measures ordering a walk-sized candidate set
+// of 200 peers by XOR distance.
+func BenchmarkSortByDistance(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]peer.ID, 200)
+	for i := range ids {
+		ids[i] = peer.MustNewIdentity(rng).ID
+	}
+	key := kbucket.KeyForBytes([]byte("target"))
+	scratch := make([]peer.ID, len(ids))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, ids)
+		kbucket.SortByDistance(scratch, key)
 	}
 }
 
@@ -696,12 +714,9 @@ func BenchmarkRetrieveEndToEnd(b *testing.B) {
 	retr := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.RetrOverall })
 	b.ReportMetric(retr.Median(), "retr-p50-s")
 	// The end-to-end loop itself:
-	ctxEnsureUsed()
 	for i := 0; i < b.N; i++ {
 		_ = experiments.RunPerformance(experiments.PerfConfig{
 			NetworkSize: 120, IterationsPer: 1, Scale: 0.0005, Seed: int64(5 + i),
 		})
 	}
 }
-
-func ctxEnsureUsed() context.Context { return context.Background() }

@@ -20,26 +20,27 @@ import (
 // offline, the provider will assign new ones within 12 h".
 type republisher struct {
 	mu   sync.Mutex
-	cids map[string]cid.Cid
+	seen map[string]bool
+	cids []cid.Cid // first-track order, so a republish cycle replays identically
 }
 
 func (r *republisher) track(c cid.Cid) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cids == nil {
-		r.cids = make(map[string]cid.Cid)
+	if r.seen == nil {
+		r.seen = make(map[string]bool)
 	}
-	r.cids[c.Key()] = c
+	if r.seen[c.Key()] {
+		return
+	}
+	r.seen[c.Key()] = true
+	r.cids = append(r.cids, c)
 }
 
 func (r *republisher) list() []cid.Cid {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]cid.Cid, 0, len(r.cids))
-	for _, c := range r.cids {
-		out = append(out, c)
-	}
-	return out
+	return append([]cid.Cid(nil), r.cids...)
 }
 
 // Provided returns the CIDs this node currently republishes.

@@ -31,8 +31,18 @@ func TestRepublishBatchesPerTargetPeer(t *testing.T) {
 		}
 		cids = append(cids, pub.Cid)
 	}
-	if got := len(publisher.Provided()); got != m {
-		t.Fatalf("tracking %d cids, want %d", got, m)
+	// Publish order, on every call: a republish cycle's RPC order follows
+	// it, and seeded runs must replay that cycle identically.
+	for call := 0; call < 5; call++ {
+		got := publisher.Provided()
+		if len(got) != m {
+			t.Fatalf("tracking %d cids, want %d", len(got), m)
+		}
+		for i := range cids {
+			if !got[i].Equal(cids[i]) {
+				t.Fatalf("Provided()[%d] = %s, want publish order %s", i, got[i], cids[i])
+			}
+		}
 	}
 
 	// Cycle 0: every record was just confirmed, so the batch skips all

@@ -1,8 +1,9 @@
 package dht
 
 import (
+	"bytes"
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -34,6 +35,7 @@ const (
 
 type candidate struct {
 	info  wire.PeerInfo
+	dist  kbucket.Key // XOR distance to the walk's target, hashed once
 	state candState
 	depth int
 }
@@ -71,7 +73,11 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 			}
 			return
 		}
-		cands[info.ID] = &candidate{info: info, depth: depth}
+		cands[info.ID] = &candidate{
+			info:  info,
+			dist:  kbucket.XOR(kbucket.KeyForPeer(info.ID), target),
+			depth: depth,
+		}
 	}
 
 	// Seed with the k closest peers from our own routing table.
@@ -86,14 +92,12 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	// closestUnqueried returns the unqueried candidate nearest target.
 	closestUnqueried := func() *candidate {
 		var best *candidate
-		var bestDist kbucket.Key
 		for _, c := range cands {
 			if c.state != stateCandidate {
 				continue
 			}
-			dist := kbucket.XOR(kbucket.KeyForPeer(c.info.ID), target)
-			if best == nil || kbucket.Less(dist, bestDist) {
-				best, bestDist = c, dist
+			if best == nil || kbucket.Less(c.dist, best.dist) {
+				best = c
 			}
 		}
 		return best
@@ -101,24 +105,20 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 
 	// converged reports whether the k closest non-failed candidates
 	// have all been queried.
+	var live []*candidate
 	converged := func() bool {
-		type distCand struct {
-			c    *candidate
-			dist kbucket.Key
-		}
-		var live []distCand
+		live = live[:0]
 		for _, c := range cands {
-			if c.state == stateFailed {
-				continue
+			if c.state != stateFailed {
+				live = append(live, c)
 			}
-			live = append(live, distCand{c, kbucket.XOR(kbucket.KeyForPeer(c.info.ID), target)})
 		}
-		sort.Slice(live, func(i, j int) bool { return kbucket.Less(live[i].dist, live[j].dist) })
+		sortByDist(live)
 		if len(live) > d.cfg.K {
 			live = live[:d.cfg.K]
 		}
-		for _, dc := range live {
-			if dc.c.state != stateDone {
+		for _, c := range live {
+			if c.state != stateDone {
 				return false
 			}
 		}
@@ -174,7 +174,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 		if !ok {
 			info.Duration = src.Since(start)
 			info.Launched = launched
-			return d.closestSeen(cands, target), final, info
+			return d.closestSeen(cands), final, info
 		}
 		inflight--
 		c := cands[res.id]
@@ -211,25 +211,31 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	cancel()
 	info.Duration = src.Since(start)
 	info.Launched = launched
-	return d.closestSeen(cands, target), final, info
+	return d.closestSeen(cands), final, info
 }
 
 // closestSeen returns the k closest candidates observed during the
 // walk, regardless of whether they answered.
-func (d *DHT) closestSeen(cands map[peer.ID]*candidate, target kbucket.Key) []wire.PeerInfo {
-	infos := make([]wire.PeerInfo, 0, len(cands))
-	ids := make([]peer.ID, 0, len(cands))
-	for id := range cands {
-		ids = append(ids, id)
+func (d *DHT) closestSeen(cands map[peer.ID]*candidate) []wire.PeerInfo {
+	all := make([]*candidate, 0, len(cands))
+	for _, c := range cands {
+		all = append(all, c)
 	}
-	kbucket.SortByDistance(ids, target)
-	if len(ids) > d.cfg.K {
-		ids = ids[:d.cfg.K]
+	sortByDist(all)
+	if len(all) > d.cfg.K {
+		all = all[:d.cfg.K]
 	}
-	for _, id := range ids {
-		infos = append(infos, cands[id].info)
+	infos := make([]wire.PeerInfo, 0, len(all))
+	for _, c := range all {
+		infos = append(infos, c.info)
 	}
 	return infos
+}
+
+// sortByDist orders candidates by their stored distance to the target,
+// closest first.
+func sortByDist(cs []*candidate) {
+	slices.SortFunc(cs, func(a, b *candidate) int { return bytes.Compare(a.dist[:], b.dist[:]) })
 }
 
 // WalkClosest finds the k closest peers to a key with FIND_NODE

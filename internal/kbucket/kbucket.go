@@ -7,7 +7,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/peer"
@@ -25,7 +25,10 @@ type Key [KeyLen]byte
 
 // KeyForPeer derives the DHT key of a peer: SHA256 of its binary PeerID.
 func KeyForPeer(id peer.ID) Key {
-	return sha256.Sum256([]byte(id))
+	// A stack buffer holds any ordinary PeerID, so hashing one does not
+	// allocate; a []byte(id) conversion would, past 32 bytes.
+	var buf [64]byte
+	return sha256.Sum256(append(buf[:0], id...))
 }
 
 // KeyForBytes derives the DHT key for arbitrary bytes (e.g. a binary
@@ -106,7 +109,8 @@ func (t *Table) Add(id peer.ID) bool {
 	for i, e := range bucket {
 		if e.ID == id {
 			// Move to back: most recently seen.
-			t.buckets[idx] = append(append(bucket[:i:i], bucket[i+1:]...), e)
+			copy(bucket[i:], bucket[i+1:])
+			bucket[len(bucket)-1] = e
 			return true
 		}
 	}
@@ -158,20 +162,68 @@ func (t *Table) Len() int {
 
 // NearestPeers returns up to count peers closest to key by XOR
 // distance, closest first.
+//
+// The buckets order the answer without hashing the whole table. Let c
+// be the common prefix length of key and the local key. A peer in
+// bucket i < c first differs from key at bit i; a peer in a bucket
+// deeper than c first differs at bit c; a peer in bucket c first
+// differs further down. So the exact order is bucket c, then the union
+// of the deeper buckets, then buckets c-1, c-2, …, 0, each group sorted
+// on its own. Only the groups that reach count are read, and each of
+// their peers is hashed once.
 func (t *Table) NearestPeers(key Key, count int) []peer.ID {
+	if count <= 0 {
+		return []peer.ID{}
+	}
+	c := CommonPrefixLen(t.self, key)
+	ids := make([]peer.ID, 0, min(count, 2*t.k))
+	var ends [NumBuckets]int // end offset in ids of each group
+	groups := 0
+	endGroup := func() {
+		ends[groups] = len(ids)
+		groups++
+	}
 	t.mu.RLock()
-	all := make([]peer.ID, 0, 64)
-	for _, b := range t.buckets {
-		for _, e := range b {
-			all = append(all, e.ID)
+	if c >= NumBuckets-1 {
+		// A key sharing 255 or more bits with the local key (in
+		// practice, the local key itself) is too rare to order by
+		// bucket: sort the whole table.
+		for _, b := range t.buckets {
+			ids = appendIDs(ids, b)
+		}
+		endGroup()
+	} else {
+		ids = appendIDs(ids, t.buckets[c])
+		endGroup()
+		if len(ids) < count {
+			for _, b := range t.buckets[c+1:] {
+				ids = appendIDs(ids, b)
+			}
+			endGroup()
+		}
+		for i := c - 1; i >= 0 && len(ids) < count; i-- {
+			ids = appendIDs(ids, t.buckets[i])
+			endGroup()
 		}
 	}
 	t.mu.RUnlock()
-	SortByDistance(all, key)
-	if len(all) > count {
-		all = all[:count]
+	var buf []byDist
+	start := 0
+	for _, end := range ends[:groups] {
+		buf = sortByDistance(ids[start:end], key, buf)
+		start = end
 	}
-	return all
+	if len(ids) > count {
+		ids = ids[:count]
+	}
+	return ids
+}
+
+func appendIDs(ids []peer.ID, bucket []Entry) []peer.ID {
+	for _, e := range bucket {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }
 
 // AllPeers returns every peer in the table. The crawler uses this to
@@ -181,9 +233,7 @@ func (t *Table) AllPeers() []peer.ID {
 	defer t.mu.RUnlock()
 	var all []peer.ID
 	for _, b := range t.buckets {
-		for _, e := range b {
-			all = append(all, e.ID)
-		}
+		all = appendIDs(all, b)
 	}
 	return all
 }
@@ -202,14 +252,39 @@ func (t *Table) BucketSizes() map[int]int {
 	return out
 }
 
+// distance returns the XOR distance between a peer's key and key.
+func distance(id peer.ID, key Key) Key { return XOR(KeyForPeer(id), key) }
+
+// byDist pairs a peer with its distance to a query key, so a sort
+// hashes each peer once rather than on every comparison.
+type byDist struct {
+	dist Key
+	id   peer.ID
+}
+
+// sortByDistance sorts ids in place by XOR distance from key. It reuses
+// buf as scratch and returns it for the next call.
+func sortByDistance(ids []peer.ID, key Key, buf []byDist) []byDist {
+	if len(ids) < 2 {
+		return buf
+	}
+	buf = slices.Grow(buf[:0], len(ids))
+	for _, id := range ids {
+		buf = append(buf, byDist{distance(id, key), id})
+	}
+	slices.SortFunc(buf, func(a, b byDist) int { return bytes.Compare(a.dist[:], b.dist[:]) })
+	for i := range buf {
+		ids[i] = buf[i].id
+	}
+	return buf
+}
+
 // SortByDistance sorts ids in place by XOR distance from key.
 func SortByDistance(ids []peer.ID, key Key) {
-	sort.Slice(ids, func(i, j int) bool {
-		return Less(XOR(KeyForPeer(ids[i]), key), XOR(KeyForPeer(ids[j]), key))
-	})
+	sortByDistance(ids, key, nil)
 }
 
 // Closer reports whether a is strictly closer to key than b.
 func Closer(a, b peer.ID, key Key) bool {
-	return Less(XOR(KeyForPeer(a), key), XOR(KeyForPeer(b), key))
+	return Less(distance(a, key), distance(b, key))
 }
