@@ -671,8 +671,9 @@ func BenchmarkKBucketNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkSortByDistance measures ordering a walk-sized candidate set
-// of 200 peers by XOR distance.
+// BenchmarkSortByDistance measures ordering 200 peers, about a whole
+// routing table, by XOR distance. NearestPeers sorts the peers it
+// collects this way, usually a bucket or two of them.
 func BenchmarkSortByDistance(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ids := make([]peer.ID, 200)

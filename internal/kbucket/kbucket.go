@@ -164,55 +164,30 @@ func (t *Table) Len() int {
 // distance, closest first.
 //
 // The buckets order the answer without hashing the whole table. Let c
-// be the common prefix length of key and the local key. A peer in
-// bucket i < c first differs from key at bit i; a peer in a bucket
-// deeper than c first differs at bit c; a peer in bucket c first
-// differs further down. So the exact order is bucket c, then the union
-// of the deeper buckets, then buckets c-1, c-2, …, 0, each group sorted
-// on its own. Only the groups that reach count are read, and each of
-// their peers is hashed once.
+// be the bucket index of key. A peer in bucket i < c first differs from
+// key at bit i; a peer in a bucket deeper than c first differs at bit c;
+// a peer in bucket c first differs further down. So every peer of
+// bucket c is closer than every peer of the deeper buckets, which are
+// all closer than bucket c-1, then c-2, … 0. Buckets are read in that
+// order until count peers are collected, and only those are sorted.
 func (t *Table) NearestPeers(key Key, count int) []peer.ID {
 	if count <= 0 {
 		return []peer.ID{}
 	}
-	c := CommonPrefixLen(t.self, key)
+	c := t.bucketIndex(key)
 	ids := make([]peer.ID, 0, min(count, 2*t.k))
-	var ends [NumBuckets]int // end offset in ids of each group
-	groups := 0
-	endGroup := func() {
-		ends[groups] = len(ids)
-		groups++
-	}
 	t.mu.RLock()
-	if c >= NumBuckets-1 {
-		// A key sharing 255 or more bits with the local key (in
-		// practice, the local key itself) is too rare to order by
-		// bucket: sort the whole table.
-		for _, b := range t.buckets {
+	ids = appendIDs(ids, t.buckets[c])
+	if len(ids) < count {
+		for _, b := range t.buckets[c+1:] {
 			ids = appendIDs(ids, b)
 		}
-		endGroup()
-	} else {
-		ids = appendIDs(ids, t.buckets[c])
-		endGroup()
-		if len(ids) < count {
-			for _, b := range t.buckets[c+1:] {
-				ids = appendIDs(ids, b)
-			}
-			endGroup()
-		}
-		for i := c - 1; i >= 0 && len(ids) < count; i-- {
-			ids = appendIDs(ids, t.buckets[i])
-			endGroup()
-		}
+	}
+	for i := c - 1; i >= 0 && len(ids) < count; i-- {
+		ids = appendIDs(ids, t.buckets[i])
 	}
 	t.mu.RUnlock()
-	var buf []byDist
-	start := 0
-	for _, end := range ends[:groups] {
-		buf = sortByDistance(ids[start:end], key, buf)
-		start = end
-	}
+	SortByDistance(ids, key)
 	if len(ids) > count {
 		ids = ids[:count]
 	}
@@ -252,9 +227,6 @@ func (t *Table) BucketSizes() map[int]int {
 	return out
 }
 
-// distance returns the XOR distance between a peer's key and key.
-func distance(id peer.ID, key Key) Key { return XOR(KeyForPeer(id), key) }
-
 // byDist pairs a peer with its distance to a query key, so a sort
 // hashes each peer once rather than on every comparison.
 type byDist struct {
@@ -262,29 +234,22 @@ type byDist struct {
 	id   peer.ID
 }
 
-// sortByDistance sorts ids in place by XOR distance from key. It reuses
-// buf as scratch and returns it for the next call.
-func sortByDistance(ids []peer.ID, key Key, buf []byDist) []byDist {
+// SortByDistance sorts ids in place by XOR distance from key.
+func SortByDistance(ids []peer.ID, key Key) {
 	if len(ids) < 2 {
-		return buf
+		return
 	}
-	buf = slices.Grow(buf[:0], len(ids))
-	for _, id := range ids {
-		buf = append(buf, byDist{distance(id, key), id})
+	buf := make([]byDist, len(ids))
+	for i, id := range ids {
+		buf[i] = byDist{XOR(KeyForPeer(id), key), id}
 	}
 	slices.SortFunc(buf, func(a, b byDist) int { return bytes.Compare(a.dist[:], b.dist[:]) })
 	for i := range buf {
 		ids[i] = buf[i].id
 	}
-	return buf
-}
-
-// SortByDistance sorts ids in place by XOR distance from key.
-func SortByDistance(ids []peer.ID, key Key) {
-	sortByDistance(ids, key, nil)
 }
 
 // Closer reports whether a is strictly closer to key than b.
 func Closer(a, b peer.ID, key Key) bool {
-	return Less(distance(a, key), distance(b, key))
+	return Less(XOR(KeyForPeer(a), key), XOR(KeyForPeer(b), key))
 }
