@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/gwload"
 	"repro/internal/kbucket"
 	"repro/internal/merkledag"
+	"repro/internal/multiaddr"
 	"repro/internal/multicodec"
 	"repro/internal/peer"
 	"repro/internal/routing"
@@ -698,12 +700,58 @@ func BenchmarkWireMarshal(b *testing.B) {
 		peers = append(peers, wire.PeerInfo{ID: peer.MustNewIdentity(rng).ID})
 	}
 	msg := wire.Message{Type: wire.TNodes, Key: bytes.Repeat([]byte{9}, 34), Peers: peers}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		raw := msg.Marshal()
 		if _, err := wire.Unmarshal(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWireFrame measures one frame written with wire.WriteFrame and
+// read back with wire.ReadFrame through bufio, as the TCP transport
+// does, for a full block and a 20-peer FIND_NODE answer.
+func BenchmarkWireFrame(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	var peers []wire.PeerInfo
+	for i := 0; i < 20; i++ {
+		id := peer.MustNewIdentity(rng).ID
+		peers = append(peers, wire.PeerInfo{ID: id,
+			Addrs: []multiaddr.Multiaddr{multiaddr.ForPeer("192.0.2.1", 4001, id.String())}})
+	}
+	block := make([]byte, 256*1024)
+	rng.Read(block)
+	for _, c := range []struct {
+		name string
+		msg  wire.Message
+	}{
+		{"block-256KiB", wire.Message{Type: wire.TBlock, Key: bytes.Repeat([]byte{7}, 36), BlockData: block}},
+		{"nodes-20", wire.Message{Type: wire.TNodes, Key: bytes.Repeat([]byte{9}, 34), Peers: peers}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := wire.WriteFrame(&buf, c.msg); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			buf.Reset()
+			w, r := bufio.NewWriter(&buf), bufio.NewReader(&buf)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := wire.WriteFrame(w, c.msg); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := wire.ReadFrame(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -245,15 +245,31 @@ func (m Multiaddr) DialInfo() (network, hostport string, err error) {
 // Bytes returns the binary form: for each component a varint protocol
 // code, then for valued protocols a varint length and the value bytes.
 func (m Multiaddr) Bytes() []byte {
-	var out []byte
+	return m.AppendBytes(nil)
+}
+
+// AppendBytes appends the binary form of Bytes to dst.
+func (m Multiaddr) AppendBytes(dst []byte) []byte {
 	for _, c := range m.comps {
-		out = varint.Append(out, uint64(c.Code))
+		dst = varint.Append(dst, uint64(c.Code))
 		if protocols[c.Name].hasValue {
-			out = varint.Append(out, uint64(len(c.Value)))
-			out = append(out, c.Value...)
+			dst = varint.Append(dst, uint64(len(c.Value)))
+			dst = append(dst, c.Value...)
 		}
 	}
-	return out
+	return dst
+}
+
+// BytesLen returns len(m.Bytes()) without encoding.
+func (m Multiaddr) BytesLen() int {
+	n := 0
+	for _, c := range m.comps {
+		n += varint.Len(uint64(c.Code))
+		if protocols[c.Name].hasValue {
+			n += varint.Len(uint64(len(c.Value))) + len(c.Value)
+		}
+	}
+	return n
 }
 
 // FromBytes parses the binary form produced by Bytes.

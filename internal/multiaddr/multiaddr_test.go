@@ -126,6 +126,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if !back.Equal(m) {
 			t.Errorf("binary round trip %q -> %q", s, back)
 		}
+		if n := m.BytesLen(); n != len(m.Bytes()) {
+			t.Errorf("BytesLen(%s) = %d, want %d", s, n, len(m.Bytes()))
+		}
 	}
 }
 

@@ -122,6 +122,10 @@ func (e *TCPEndpoint) acceptLoop() {
 // challenge nonce, IPNSData the public key, BlockData the signature
 // over the peer's own nonce response.
 
+// handshakeTimeout bounds each side of the identity handshake, so a
+// peer that connects and goes silent cannot hold a connection open.
+const handshakeTimeout = 10 * time.Second
+
 func newNonce() []byte {
 	// The nonce needs only to be unpredictable per handshake.
 	buf := make([]byte, 16)
@@ -129,8 +133,9 @@ func newNonce() []byte {
 	return buf
 }
 
-// serveConn performs the listener half of the handshake, then serves
-// request frames until the peer disconnects.
+// serveConn performs the listener half of the handshake within
+// handshakeTimeout, then serves request frames until the peer
+// disconnects.
 func (e *TCPEndpoint) serveConn(c net.Conn) {
 	defer c.Close()
 	if !e.track(c) {
@@ -139,6 +144,9 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	defer e.untrack(c)
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
+	if c.SetDeadline(time.Now().Add(handshakeTimeout)) != nil {
+		return
+	}
 
 	// 1. Receive the dialer's hello with its challenge.
 	hello, err := wire.ReadFrame(r)
@@ -167,6 +175,9 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 		return
 	}
 	if peer.Verify(dialerID, ed25519.PublicKey(proof.IPNSData), myNonce, proof.BlockData) != nil {
+		return
+	}
+	if c.SetDeadline(time.Time{}) != nil {
 		return
 	}
 
@@ -230,7 +241,7 @@ func (e *TCPEndpoint) Dial(ctx context.Context, target peer.ID, addrs []multiadd
 func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
 	r := bufio.NewReader(nc)
 	w := bufio.NewWriter(nc)
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer nc.SetDeadline(time.Time{})
 
 	challenge := newNonce()
@@ -274,7 +285,9 @@ func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
 
 // tcpConn is a dialer-side connection; RPCs are serialized per
 // connection (the swarm keeps one connection per peer, and concurrent
-// walks query distinct peers).
+// walks query distinct peers). A failed request closes the connection:
+// a frame cut off mid-way, or a reply still in flight after a deadline,
+// would otherwise be read as the answer to the next request.
 type tcpConn struct {
 	nc     net.Conn
 	r      *bufio.Reader
@@ -318,18 +331,21 @@ func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, 
 		c.nc.SetDeadline(dl)
 		defer c.nc.SetDeadline(time.Time{})
 	}
-	if err := wire.WriteFrame(c.w, req); err != nil {
+	fail := func(err error) (wire.Message, error) {
 		record(err)
+		c.closed = true
+		c.nc.Close()
 		return wire.Message{}, err
 	}
+	if err := wire.WriteFrame(c.w, req); err != nil {
+		return fail(err)
+	}
 	if err := c.w.Flush(); err != nil {
-		record(err)
-		return wire.Message{}, err
+		return fail(err)
 	}
 	resp, err := wire.ReadFrame(c.r)
 	if err != nil {
-		record(err)
-		return wire.Message{}, err
+		return fail(err)
 	}
 	record(nil)
 	return resp, nil

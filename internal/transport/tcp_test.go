@@ -192,3 +192,31 @@ func TestTCPFullNodeNetwork(t *testing.T) {
 		t.Errorf("provider = %s", res.Provider.Short())
 	}
 }
+
+// TestTCPTornRequestClosesConn: a request that times out while its reply
+// is still on the way must not leave that reply to be read as the answer
+// to the next request on the same connection.
+func TestTCPTornRequestClosesConn(t *testing.T) {
+	a, b := newTCPPair(t)
+	b.SetHandler(func(_ context.Context, _ peer.ID, req wire.Message) wire.Message {
+		if string(req.Key) == "first" {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return wire.Message{Type: wire.TBlock, Key: req.Key}
+	})
+	conn, err := a.Dial(context.Background(), b.LocalPeer(), b.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := conn.Request(ctx, wire.Message{Type: wire.TWantBlock, Key: []byte("first")}); err == nil {
+		t.Fatal("first request beat a 50 ms deadline against a 200 ms handler")
+	}
+	time.Sleep(250 * time.Millisecond) // the first reply is now in flight
+	resp, err := conn.Request(context.Background(), wire.Message{Type: wire.TWantBlock, Key: []byte("second")})
+	if err != transport.ErrClosed {
+		t.Errorf("request after a torn one: resp Key=%q err=%v, want ErrClosed", resp.Key, err)
+	}
+}

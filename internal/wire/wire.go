@@ -173,58 +173,126 @@ func ErrorMessage(format string, args ...interface{}) Message {
 	return Message{Type: TError, ErrMsg: fmt.Sprintf(format, args...)}
 }
 
+// The encoder is one pass over the message: size gives the exact body
+// length and appendTo writes it, so Marshal and WriteFrame each
+// allocate one buffer of the final length and copy every field once.
+// Each *Len helper below is the length of what the matching append*
+// writes.
+
+// bytesLen is the encoded length of a field of n bytes.
+func bytesLen(n int) int { return varint.Len(uint64(n)) + n }
+
 // appendBytes writes a varint length followed by the bytes.
 func appendBytes(dst, b []byte) []byte {
 	dst = varint.Append(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
+func appendString(dst []byte, s string) []byte {
+	dst = varint.Append(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func addrsLen(addrs []multiaddr.Multiaddr) int {
+	n := varint.Len(uint64(len(addrs)))
+	for _, a := range addrs {
+		n += bytesLen(a.BytesLen())
+	}
+	return n
+}
+
+func appendAddrs(dst []byte, addrs []multiaddr.Multiaddr) []byte {
+	dst = varint.Append(dst, uint64(len(addrs)))
+	for _, a := range addrs {
+		dst = varint.Append(dst, uint64(a.BytesLen()))
+		dst = a.AppendBytes(dst)
+	}
+	return dst
+}
+
+func peerInfoLen(pi PeerInfo) int {
+	return bytesLen(len(pi.ID)) + addrsLen(pi.Addrs)
+}
+
+func appendPeerInfo(dst []byte, pi PeerInfo) []byte {
+	dst = appendString(dst, string(pi.ID))
+	return appendAddrs(dst, pi.Addrs)
+}
+
+func peerInfosLen(infos []PeerInfo) int {
+	n := varint.Len(uint64(len(infos)))
+	for _, pi := range infos {
+		n += peerInfoLen(pi)
+	}
+	return n
+}
+
 func appendPeerInfos(dst []byte, infos []PeerInfo) []byte {
 	dst = varint.Append(dst, uint64(len(infos)))
 	for _, pi := range infos {
-		dst = appendBytes(dst, []byte(pi.ID))
-		dst = varint.Append(dst, uint64(len(pi.Addrs)))
-		for _, a := range pi.Addrs {
-			dst = appendBytes(dst, a.Bytes())
-		}
+		dst = appendPeerInfo(dst, pi)
+	}
+	return dst
+}
+
+// size returns the exact length of the encoded body, len(m.Marshal()).
+func (m Message) size() int {
+	n := 1 + bytesLen(len(m.Key)) + peerInfosLen(m.Peers) + peerInfosLen(m.Providers) + 1
+	if rec := m.PeerRec; rec != nil {
+		n += bytesLen(len(rec.ID)) + varint.Len(rec.Seq) +
+			bytesLen(len(rec.PublicKey)) + bytesLen(len(rec.Signature)) +
+			addrsLen(rec.Addrs) + varint.Len(uint64(rec.Published.UnixNano()))
+	}
+	n += bytesLen(len(m.IPNSData)) + bytesLen(len(m.BlockData)) + bytesLen(len(m.ErrMsg))
+	n += varint.Len(uint64(len(m.Keys)))
+	for _, k := range m.Keys {
+		n += bytesLen(len(k))
+	}
+	n += varint.Len(uint64(len(m.Records)))
+	for _, r := range m.Records {
+		n += bytesLen(len(r.Key)) + varint.Len(1) + peerInfoLen(r.Provider) +
+			varint.Len(uint64(r.Published.UnixNano()))
+	}
+	return n
+}
+
+// appendTo appends the encoded body to dst.
+func (m Message) appendTo(dst []byte) []byte {
+	dst = append(dst, byte(m.Type))
+	dst = appendBytes(dst, m.Key)
+	dst = appendPeerInfos(dst, m.Peers)
+	dst = appendPeerInfos(dst, m.Providers)
+	if rec := m.PeerRec; rec != nil {
+		dst = append(dst, 1)
+		dst = appendString(dst, string(rec.ID))
+		dst = varint.Append(dst, rec.Seq)
+		dst = appendBytes(dst, rec.PublicKey)
+		dst = appendBytes(dst, rec.Signature)
+		dst = appendAddrs(dst, rec.Addrs)
+		dst = varint.Append(dst, uint64(rec.Published.UnixNano()))
+	} else {
+		dst = append(dst, 0)
+	}
+	dst = appendBytes(dst, m.IPNSData)
+	dst = appendBytes(dst, m.BlockData)
+	dst = appendString(dst, m.ErrMsg)
+	dst = varint.Append(dst, uint64(len(m.Keys)))
+	for _, k := range m.Keys {
+		dst = appendBytes(dst, k)
+	}
+	dst = varint.Append(dst, uint64(len(m.Records)))
+	for _, r := range m.Records {
+		dst = appendBytes(dst, r.Key)
+		dst = varint.Append(dst, 1) // the provider is a one-entry PeerInfo list
+		dst = appendPeerInfo(dst, r.Provider)
+		dst = varint.Append(dst, uint64(r.Published.UnixNano()))
 	}
 	return dst
 }
 
 // Marshal encodes the message body (without outer framing).
 func (m Message) Marshal() []byte {
-	out := []byte{byte(m.Type)}
-	out = appendBytes(out, m.Key)
-	out = appendPeerInfos(out, m.Peers)
-	out = appendPeerInfos(out, m.Providers)
-	if m.PeerRec != nil {
-		out = append(out, 1)
-		out = appendBytes(out, []byte(m.PeerRec.ID))
-		out = varint.Append(out, m.PeerRec.Seq)
-		out = appendBytes(out, m.PeerRec.PublicKey)
-		out = appendBytes(out, m.PeerRec.Signature)
-		out = varint.Append(out, uint64(len(m.PeerRec.Addrs)))
-		for _, a := range m.PeerRec.Addrs {
-			out = appendBytes(out, a.Bytes())
-		}
-		out = varint.Append(out, uint64(m.PeerRec.Published.UnixNano()))
-	} else {
-		out = append(out, 0)
-	}
-	out = appendBytes(out, m.IPNSData)
-	out = appendBytes(out, m.BlockData)
-	out = appendBytes(out, []byte(m.ErrMsg))
-	out = varint.Append(out, uint64(len(m.Keys)))
-	for _, k := range m.Keys {
-		out = appendBytes(out, k)
-	}
-	out = varint.Append(out, uint64(len(m.Records)))
-	for _, r := range m.Records {
-		out = appendBytes(out, r.Key)
-		out = appendPeerInfos(out, []PeerInfo{r.Provider})
-		out = varint.Append(out, uint64(r.Published.UnixNano()))
-	}
-	return out
+	return m.appendTo(make([]byte, 0, m.size()))
 }
 
 type reader struct {
@@ -432,20 +500,28 @@ func Unmarshal(buf []byte) (Message, error) {
 	return m, nil
 }
 
-// WriteFrame writes a length-prefixed message to w.
+// WriteFrame writes a length-prefixed message to w: the varint body
+// length, then the body, encoded straight into one buffer of the frame's
+// exact size and handed to w in a single Write.
 func WriteFrame(w io.Writer, m Message) error {
-	body := m.Marshal()
-	if len(body) > MaxMessageSize {
+	n := m.size()
+	if n > MaxMessageSize {
 		return ErrTooLarge
 	}
-	frame := varint.Append(make([]byte, 0, len(body)+5), uint64(len(body)))
-	frame = append(frame, body...)
-	_, err := w.Write(frame)
+	frame := varint.Append(make([]byte, 0, varint.Len(uint64(n))+n), uint64(n))
+	_, err := w.Write(m.appendTo(frame))
 	return err
 }
 
-// ReadFrame reads one length-prefixed message from r.
-func ReadFrame(r io.ByteReader) (Message, error) {
+// ReadFrame reads one length-prefixed message from r. The length is
+// checked against MaxMessageSize before anything is allocated; the body
+// then lands in an exact-size buffer with one io.ReadFull, which a
+// *bufio.Reader with an empty buffer fills straight from its source.
+// A body cut short, even right after the header, is io.ErrUnexpectedEOF.
+func ReadFrame(r interface {
+	io.Reader
+	io.ByteReader
+}) (Message, error) {
 	n, err := varint.ReadUvarint(r)
 	if err != nil {
 		return Message{}, err
@@ -454,15 +530,11 @@ func ReadFrame(r io.ByteReader) (Message, error) {
 		return Message{}, ErrTooLarge
 	}
 	buf := make([]byte, n)
-	for i := range buf {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Message{}, err
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		buf[i] = b
+		return Message{}, err
 	}
 	return Unmarshal(buf)
 }
